@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -23,6 +24,9 @@ func referenceGenerate(t *testing.T, mech *Mechanism, candidates int, seed uint6
 		y, res, ok := mech.Once(r)
 		stats.Candidates++
 		stats.CheckedTotal += int64(res.Checked)
+		if res.Checked > 0 {
+			stats.Scans.Fallback++ // the reference evaluates every visited record
+		}
 		if res.SeedProb <= 0 {
 			stats.SeedRejected++
 		}
@@ -47,13 +51,28 @@ func batchMechs(t *testing.T) map[string]*Mechanism {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// ω up to m puts agreement length 0 in range, so a wide γ-partition can
+	// make every record plausible: the constant shape.
+	wide, err := NewSeedSynthesizer(model, 10, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seeds := tinySeeds(t, model, 300, 22)
+	// The uncapped k=20 scan over 2,400 seeds is the configuration whose
+	// small plausible sets take the enumerate shape; the capped ones walk.
+	many := tinySeeds(t, model, 2400, 23)
 	out := make(map[string]*Mechanism)
-	for name, tc := range map[string]TestConfig{
-		"deterministic": {K: 5, Gamma: 3, MaxPlausible: 10, MaxCheckPlausible: 64},
-		"randomized":    {K: 5, Gamma: 3, Randomized: true, Eps0: 0.8, MaxPlausible: 12},
+	for name, c := range map[string]struct {
+		syn   *SeedSynthesizer
+		seeds *dataset.Dataset
+		test  TestConfig
+	}{
+		"deterministic": {syn, seeds, TestConfig{K: 5, Gamma: 3, MaxPlausible: 10, MaxCheckPlausible: 64}},
+		"randomized":    {syn, seeds, TestConfig{K: 5, Gamma: 3, Randomized: true, Eps0: 0.8, MaxPlausible: 12}},
+		"enumerate":     {syn, many, TestConfig{K: 20, Gamma: 3, Randomized: true, Eps0: 0.5}},
+		"wide":          {wide, seeds, TestConfig{K: 5, Gamma: 40, MaxPlausible: 10, MaxCheckPlausible: 64}},
 	} {
-		mech, err := NewMechanism(syn, seeds, tc)
+		mech, err := NewMechanism(c.syn, c.seeds, c.test)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,6 +94,7 @@ func TestBatchedGenerateByteIdentical(t *testing.T) {
 			if wantStats.Released == 0 {
 				t.Fatal("reference released nothing; test would be vacuous")
 			}
+			var wantScans ScanShapes // the first batched run's, pinned for the rest
 			for _, workers := range []int{1, 3, 8} {
 				for _, batch := range []int{1, 7, 256, candidates} {
 					out, stats, err := GenerateCtx(context.Background(), mech, GenConfig{
@@ -100,6 +120,15 @@ func TestBatchedGenerateByteIdentical(t *testing.T) {
 						stats.SeedRejected != wantStats.SeedRejected || stats.CheckedTotal != wantStats.CheckedTotal {
 						t.Fatalf("%s: stats %+v, want %+v", tag, stats, wantStats)
 					}
+					sc := stats.Scans
+					if sc.Constant+sc.Enumerate+sc.Walk+sc.Fallback != wantStats.Scans.Fallback {
+						t.Fatalf("%s: scan shapes %+v do not add up to the %d scanned candidates", tag, sc, wantStats.Scans.Fallback)
+					}
+					if wantScans == (ScanShapes{}) {
+						wantScans = sc
+					} else if sc != wantScans {
+						t.Fatalf("%s: scan shapes %+v, want %+v", tag, sc, wantScans)
+					}
 				}
 			}
 		})
@@ -108,35 +137,41 @@ func TestBatchedGenerateByteIdentical(t *testing.T) {
 
 // TestFastTestMatchesRunTest pins the fast privacy-test kernel, shape by
 // shape, against the reference RunTest path on identical RNG streams: the
-// flat interval scan, the mask-walk fallback (flat table removed), and the
-// gcd-walk fallback (no scan table at all) must produce identical results
-// and identical RNG consumption for every candidate.
+// indexed scan (constant, enumerate and walk shapes), the mask-walk
+// fallback (index removed), and the gcd-walk fallback (no scan table at
+// all) must produce identical results and identical RNG consumption for
+// every candidate — and every shape must actually run.
 func TestFastTestMatchesRunTest(t *testing.T) {
+	var shapes [numScanShapes]int
 	for name, mech := range batchMechs(t) {
 		t.Run(name, func(t *testing.T) {
 			hs := mech.Synth.(hotSynthesizer)
 			full := mech.ensureScan()
-			if full == nil || full.flat == nil {
-				t.Fatal("expected a flat scan table for the seed synthesizer")
+			if full == nil || full.perm == nil {
+				t.Fatal("expected an indexed scan table for the seed synthesizer")
 			}
-			noFlat := *full
-			noFlat.flat = nil
+			noIndex := *full
+			noIndex.perm, noIndex.inv = nil, nil
 			pre, err := newTestPre(mech)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tables := map[string]*ScanTable{"flat": full, "mask": &noFlat, "none": nil}
+			tables := map[string]*ScanTable{"index": full, "no index": &noIndex, "none": nil}
 			for tname, st := range tables {
 				sc := newGenScratch(len(mech.Seeds.Meta.Attrs))
 				rFast, rRef := rng.New(0), rng.New(0)
 				for i := uint64(0); i < 500; i++ {
 					rFast.ReseedStream(7, i)
 					rRef.ReseedStream(7, i)
-					y, res, ok := mech.onceFast(hs, sc, st, &pre, rFast)
+					y, res, shape := mech.onceFast(hs, sc, st, &pre, rFast)
 					wantY, wantRes, wantOK := mech.Once(rRef)
-					if ok != wantOK || res != wantRes {
-						t.Fatalf("%s candidate %d: result %+v (ok=%v), want %+v (ok=%v)",
-							tname, i, res, ok, wantRes, wantOK)
+					shapes[shape]++
+					if res.Pass != wantOK || res != wantRes {
+						t.Fatalf("%s candidate %d: result %+v, want %+v (ok=%v)",
+							tname, i, res, wantRes, wantOK)
+					}
+					if st == full && shape == shapeFallback && sc.ps.ivOK {
+						t.Fatalf("%s candidate %d: indexed table fell back to the per-record path", tname, i)
 					}
 					for j := range wantY {
 						if y[j] != wantY[j] {
@@ -150,6 +185,47 @@ func TestFastTestMatchesRunTest(t *testing.T) {
 				}
 			}
 		})
+	}
+	for shape, name := range map[scanShape]string{
+		shapeConstant: "constant", shapeEnumerate: "enumerate", shapeWalk: "walk", shapeFallback: "fallback",
+	} {
+		if shapes[shape] == 0 {
+			t.Errorf("no candidate took the %s shape (counts %v); the suite would not cover it", name, shapes)
+		}
+	}
+	t.Logf("scan shapes (none, constant, enumerate, walk, fallback): %v", shapes)
+}
+
+// TestForeignScanTableReplaced pins the guard on a caller-provided scan
+// index: one built for another σ order or other seeds is never applied —
+// the mechanism builds its own and releases exactly what the reference
+// path releases.
+func TestForeignScanTableReplaced(t *testing.T) {
+	const candidates, seed = 300, 5
+	mech := batchMechs(t)["enumerate"]
+	order := slices.Clone(mech.Synth.(*SeedSynthesizer).scanOrder())
+	slices.Reverse(order)
+	other := batchMechs(t)["deterministic"].Seeds
+	for name, foreign := range map[string]*ScanTable{
+		"other order": NewScanTable(mech.Seeds, order),
+		"other seeds": ScanTableFor(mech.Synth, other),
+	} {
+		m, err := NewMechanism(mech.Synth, mech.Seeds, mech.Test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Scan = foreign
+		out, stats, err := GenerateCtx(context.Background(), m, GenConfig{Candidates: candidates, Workers: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Scan == foreign {
+			t.Fatalf("%s: the foreign scan index was kept", name)
+		}
+		wantRows, wantStats := referenceGenerate(t, m, candidates, seed)
+		if stats.Released != wantStats.Released || stats.CheckedTotal != wantStats.CheckedTotal || out.Len() != len(wantRows) {
+			t.Fatalf("%s: stats %+v, want %+v", name, stats, wantStats)
+		}
 	}
 }
 

@@ -26,20 +26,22 @@ type Mechanism struct {
 	// Test configures the plausible-deniability test applied to every
 	// candidate before release.
 	Test TestConfig
-	// Scan optionally holds the precomputed privacy-test scan layout for
+	// Scan optionally holds the precomputed privacy-test scan index for
 	// (Synth, Seeds). Serving layers that run many mechanisms over one
 	// fitted model set it to a shared ScanTable (see sgf.FittedModel); when
-	// nil, generation builds it lazily on the first run.
+	// nil, or built for other seeds or another σ, generation builds its own
+	// on the first run.
 	Scan *ScanTable
 
 	scanOnce sync.Once
 }
 
 // ensureScan resolves the scan table once per mechanism, honoring a
-// caller-provided Scan.
+// caller-provided Scan that was built for this mechanism's seeds and σ (one
+// built for anything else is replaced, never applied).
 func (m *Mechanism) ensureScan() *ScanTable {
 	m.scanOnce.Do(func() {
-		if m.Scan == nil {
+		if m.Scan == nil || !m.Scan.serves(m.Synth, m.Seeds) {
 			m.Scan = ScanTableFor(m.Synth, m.Seeds)
 		}
 	})
@@ -76,11 +78,12 @@ func (m *Mechanism) Once(r *rng.RNG) (dataset.Record, TestResult, bool) {
 }
 
 // genScratch is a generation worker's reusable state: the candidate record
-// buffer and the prober precomputation, allocated once per worker instead
-// of once per candidate.
+// buffer, the prober precomputation and the privacy test's walk-step
+// scratch, allocated once per worker instead of once per candidate.
 type genScratch struct {
-	rec dataset.Record
-	ps  proberState
+	rec   dataset.Record
+	ps    proberState
+	steps [maxEnumerate]uint32
 }
 
 func newGenScratch(numAttrs int) *genScratch {
@@ -90,14 +93,15 @@ func newGenScratch(numAttrs int) *genScratch {
 // onceFast is Once through the allocation-free hot path: the candidate is
 // generated into sc.rec (the returned record ALIASES sc.rec — copy it to
 // keep it past the next iteration) and the privacy test runs on reused
-// prober state against the precomputed scan layout. It consumes exactly
-// the RNG state Once would, and returns exactly the same values.
-func (m *Mechanism) onceFast(hs hotSynthesizer, sc *genScratch, st *ScanTable, pre *testPre, r *rng.RNG) (dataset.Record, TestResult, bool) {
+// prober state against the precomputed scan index. It consumes exactly
+// the RNG state Once would, and returns exactly the same values, plus the
+// scan shape that decided the test.
+func (m *Mechanism) onceFast(hs hotSynthesizer, sc *genScratch, st *ScanTable, pre *testPre, r *rng.RNG) (dataset.Record, TestResult, scanShape) {
 	seed := m.Seeds.Row(r.Intn(pre.n))
 	hs.generateInto(sc.rec, seed, r)
 	hs.proberInit(sc.rec, &sc.ps)
-	res := runTestFast(&sc.ps, st, pre, m.Seeds, seed, r)
-	return sc.rec, res, res.Pass
+	res, shape := runTestFast(&sc.ps, st, pre, m.Seeds, seed, r, sc.steps[:])
+	return sc.rec, res, shape
 }
 
 // recordArena hands out record copies from growing block allocations, so
@@ -157,6 +161,43 @@ type GenStats struct {
 	// (GenerateTargetStream only): delivery/flush time as opposed to
 	// generation time, so a serving layer can report the two stages apart.
 	SinkElapsed time.Duration
+	// Scans counts the privacy tests by the scan shape that decided them.
+	Scans ScanShapes
+}
+
+// ScanShapes counts privacy tests by the shape of their plausible-seed scan
+// (see scan.go). A candidate whose own seed could not have generated it is
+// rejected before any scan and counted in none.
+type ScanShapes struct {
+	// Constant tests were decided in O(1): the prober is seed-independent,
+	// or every record is a plausible seed.
+	Constant int64
+	// Enumerate tests mapped each plausible seed to its step on the walk.
+	Enumerate int64
+	// Walk tests took the cyclic walk with one index lookup per record.
+	Walk int64
+	// Fallback tests evaluated every visited record: the synthesizer has no
+	// scan index or no batched kernel, or the seed's partition covers
+	// agreement lengths that are not one interval.
+	Fallback int64
+}
+
+// Add accumulates o into s.
+func (s *ScanShapes) Add(o ScanShapes) {
+	s.Constant += o.Constant
+	s.Enumerate += o.Enumerate
+	s.Walk += o.Walk
+	s.Fallback += o.Fallback
+}
+
+// scanShapes converts per-shape counters indexed by scanShape.
+func scanShapes(c *[numScanShapes]int64) ScanShapes {
+	return ScanShapes{
+		Constant:  c[shapeConstant],
+		Enumerate: c[shapeEnumerate],
+		Walk:      c[shapeWalk],
+		Fallback:  c[shapeFallback],
+	}
 }
 
 // PassRate returns Released/Candidates (0 when no candidates were drawn).
@@ -233,6 +274,7 @@ func GenerateCtx(ctx context.Context, mech *Mechanism, cfg GenConfig) (*dataset.
 // cache line.
 type genCounters struct {
 	cands, pass, checked, rejected int64
+	shapes                         [numScanShapes]int64
 }
 
 // generateSlots runs the candidate loop of GenerateCtx into caller-owned
@@ -321,21 +363,28 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 				for i := lo; i < hi; i++ {
 					seeder.Reseed(r)
 					var (
-						y   dataset.Record
-						res TestResult
-						ok  bool
+						y     dataset.Record
+						res   TestResult
+						ok    bool
+						shape scanShape
 					)
 					if hot {
 						// Scratch-buffer generation: only passing candidates
 						// are copied out (through the arena); the rest cost
 						// zero allocations.
-						y, res, ok = mech.onceFast(hs, sc, st, &pre, r)
-						if ok {
+						y, res, shape = mech.onceFast(hs, sc, st, &pre, r)
+						if ok = res.Pass; ok {
 							y = arena.clone(y)
 						}
 					} else {
+						// RunTest evaluates every visited record; a test
+						// that checked none never scanned.
 						y, res, ok = mech.Once(r)
+						if res.Checked > 0 {
+							shape = shapeFallback
+						}
 					}
+					c.shapes[shape]++
 					c.cands++
 					c.checked += int64(res.Checked)
 					if res.SeedProb <= 0 {
@@ -352,6 +401,9 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 			total.pass += c.pass
 			total.checked += c.checked
 			total.rejected += c.rejected
+			for i, v := range c.shapes {
+				total.shapes[i] += v
+			}
 			mu.Unlock()
 		}()
 	}
@@ -363,6 +415,7 @@ func generateSlots(ctx context.Context, mech *Mechanism, cfg GenConfig, slots []
 		SeedRejected: int(total.rejected),
 		CheckedTotal: total.checked,
 		Elapsed:      time.Since(start),
+		Scans:        scanShapes(&total.shapes),
 	}
 	return stats, ctx.Err()
 }
@@ -449,6 +502,7 @@ func GenerateTargetStream(ctx context.Context, mech *Mechanism, target, maxCandi
 		total.Candidates += stats.Candidates
 		total.CheckedTotal += stats.CheckedTotal
 		total.SeedRejected += stats.SeedRejected
+		total.Scans.Add(stats.Scans)
 		rows = rows[:0]
 		keep := target - total.Released
 		for _, y := range slots {

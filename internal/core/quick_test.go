@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,5 +141,128 @@ func TestQuickReleasedAlwaysDeniable(t *testing.T) {
 			t.Fatalf("trial %d (k=%d γ=%.2f ω=[%d,%d]): released record violates Definition 1",
 				trial, k, gamma, lo, hi)
 		}
+	}
+}
+
+// TestQuickIndexedScanMatchesWalk: for random walks (n, start, coprime
+// stride, maxCheck ≤ n, breakAt ≥ 1) over a random record order and a
+// random plausible set — a sorted range minus a nested one — both indexed
+// scan shapes return exactly the (Checked, PlausibleCount) of the literal
+// cyclic walk that asks every visited record for membership.
+func TestQuickIndexedScanMatchesWalk(t *testing.T) {
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 12, 13, 64, 97, 100, 360, 997, 1000, 1024}
+	buf := make([]uint32, 1024)
+	f := func(sizeSel uint8, bits [8]uint32) bool {
+		n := sizes[int(sizeSel)%len(sizes)]
+		r := rng.New(uint64(bits[0])<<32 | uint64(bits[1]))
+		perm := make([]uint32, n)
+		for i, v := range r.Perm(n) {
+			perm[i] = uint32(v)
+		}
+		inv := make([]uint32, n)
+		for p, rec := range perm {
+			inv[rec] = uint32(p)
+		}
+		// Nested sorted ranges: lo ≤ cutLo ≤ cutHi ≤ hi, the cut often empty.
+		cuts := []int{r.Intn(n + 1), r.Intn(n + 1), r.Intn(n + 1), r.Intn(n + 1)}
+		slices.Sort(cuts)
+		set := sortedSet{uint32(cuts[0]), uint32(cuts[3]), uint32(cuts[1]), uint32(cuts[2])}
+		if bits[2]%3 == 0 {
+			set.cutLo, set.cutHi = set.lo, set.lo
+		}
+		start := int(bits[3] % uint32(n))
+		stride := 1
+		if n > 2 {
+			stride = 1 + int(bits[4]%uint32(n-1))
+			for gcd(stride, n) != 1 {
+				stride = stride%(n-1) + 1
+			}
+		}
+		maxCheck := 1 + int(bits[5]%uint32(n))
+		breakAt := 1 + int(bits[6]%uint32(n+2))
+		if bits[7]%5 == 0 {
+			breakAt = math.MaxInt
+		}
+
+		member := make([]bool, n)
+		for p := set.lo; p < set.hi; p++ {
+			if p < set.cutLo || p >= set.cutHi {
+				member[perm[p]] = true
+			}
+		}
+		wantChecked, wantCount := 0, 0
+		for idx := start; wantChecked < maxCheck; idx = (idx + stride) % n {
+			wantChecked++
+			if member[idx] {
+				wantCount++
+				if wantCount >= breakAt {
+					break
+				}
+			}
+		}
+
+		checked, count := scanEnumerate(perm, set, maxCheck, breakAt, start, stride, buf)
+		if checked != wantChecked || count != wantCount {
+			t.Logf("enumerate n=%d set=%+v start=%d stride=%d maxCheck=%d breakAt=%d: (%d, %d), want (%d, %d)",
+				n, set, start, stride, maxCheck, breakAt, checked, count, wantChecked, wantCount)
+			return false
+		}
+		checked, count = scanWalk(inv, set, maxCheck, breakAt, start, stride)
+		if checked != wantChecked || count != wantCount {
+			t.Logf("walk n=%d set=%+v start=%d stride=%d maxCheck=%d breakAt=%d: (%d, %d), want (%d, %d)",
+				n, set, start, stride, maxCheck, breakAt, checked, count, wantChecked, wantCount)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickModInverse: modInverse(s, n)·s ≡ 1 (mod n) for every s coprime
+// with n, the identity the enumerate shape maps records to walk steps by.
+func TestQuickModInverse(t *testing.T) {
+	f := func(nBits, sBits uint32) bool {
+		n := 2 + int(nBits%1_000_000)
+		s := 1 + int(sBits%uint32(n-1))
+		if gcd(s, n) != 1 {
+			return true
+		}
+		return uint64(modInverse(s, n))*uint64(s)%uint64(n) == 1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	if got := modInverse(1, 1); got != 0 {
+		t.Errorf("modInverse(1, 1) = %d, want 0", got)
+	}
+}
+
+// TestQuickKthSmallest: the enumerate shape's selection agrees with a full
+// sort on random, sorted, reversed and organ-pipe inputs.
+func TestQuickKthSmallest(t *testing.T) {
+	f := func(vals []uint32, kBits uint16, pattern uint8) bool {
+		if len(vals) == 0 {
+			return true
+		}
+		a := slices.Clone(vals)
+		switch pattern % 4 {
+		case 1:
+			slices.Sort(a)
+		case 2:
+			slices.Sort(a)
+			slices.Reverse(a)
+		case 3:
+			slices.Sort(a)
+			slices.Reverse(a[len(a)/2:])
+		}
+		sorted := slices.Clone(a)
+		slices.Sort(sorted)
+		k := int(kBits) % len(a)
+		return kthSmallest(a, k) == sorted[k]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
 	}
 }

@@ -3,76 +3,190 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/rng"
 )
 
 // The privacy test's plausible-seed scan is the hot path's hot path: for
-// every candidate it walks input records in a pseudo-random cyclic order
-// and asks each one "could you have been the seed?". This file holds the
-// batched kernel's scan machinery: a struct-of-arrays mirror of the seed
-// dataset (records re-laid in σ order as one flat row-major array, so the
-// per-record check is a handful of contiguous uint16 compares instead of a
-// pointer chase through record slices and the order permutation), a
-// precomputed coprime-stride mask replacing the per-candidate gcd walk, and
-// the scan loop itself, which tests each record against a precomputed
-// σ-agreement threshold instead of calling PartitionIndex or even touching
-// a float. Decisions, counters and RNG consumption are bit-identical to the
-// per-record path — pinned by the batch-identity and property suites.
+// every candidate the paper's tool (§5) walks input records in a
+// pseudo-random cyclic order — start anywhere, step by a stride coprime
+// with n — and counts plausible seeds until the threshold, max_plausible
+// or max_check_plausible stops it. This file computes that walk's outcome
+// without asking every visited record whether it is plausible.
+//
+// A record is a plausible seed iff its σ-agreement length with the
+// candidate lies in [jLo, jHi] (the ivOK contract of initPartitions). With
+// the records sorted σ-lexicographically, the records agreeing with the
+// candidate on a σ-prefix of length L form one contiguous sorted range
+// R(L), and R(L+1) nests inside R(L). The plausible set P is therefore
+// R(jLo) minus R(jHi+1), found by narrowing one σ column at a time: a
+// prefix-offset table answers the first few columns in O(1) and binary
+// searches over the sorted order the rest. Knowing P, the walk's outcome
+// takes one of two exact shapes, chosen from |P| against the expected walk
+// length (see chooseShape):
+//
+//   - enumerate: map each member of P to its position on the walk and read
+//     the counters off the positions, never touching the records off P;
+//   - walk: take the same cyclic walk, testing membership with one lookup
+//     into the record → sorted-position array and two range compares.
+//
+// Decisions, counters and RNG consumption are bit-identical to the
+// per-record path, which remains for synthesizers without a fixed σ and
+// for partition memos that are not one interval — pinned by the
+// batch-identity, fast-test and property suites.
 
-// maxScanTableElems caps the flat mirror's size (uint16 elements). Above
-// it, only the stride mask is built and the scan falls back to the
-// per-record evaluator.
-const maxScanTableElems = 1 << 27
-
-// ScanTable is an immutable, shareable scan layout for one (seed dataset,
-// σ order) pair: the flat struct-of-arrays mirror plus the coprime-stride
-// mask. Building one costs O(n·m); serving layers cache it per fitted
-// model (see sgf.FittedModel) and attach it to each Mechanism via the Scan
-// field so per-request runs skip the rebuild. A nil ScanTable is always
-// safe — the scan falls back to the per-record path.
+// ScanTable is an immutable, shareable scan index for one (seed dataset,
+// σ order) pair: the records in σ-lexicographic order, its inverse, a
+// prefix-offset table for the leading σ columns and the coprime-stride
+// mask. Building one costs O(n·m); serving layers cache it per fitted model
+// (see sgf.FittedModel) and attach it to each Mechanism via the Scan field
+// so per-request runs skip the rebuild. A nil ScanTable is always safe —
+// the scan falls back to the per-record path.
 type ScanTable struct {
-	n, width int
-	// flat holds the dataset re-laid row-major in σ order: row i occupies
-	// flat[i*width : (i+1)*width] with position k holding record i's value
-	// of attribute order[k]. nil when the mirror would exceed
-	// maxScanTableElems.
-	flat []uint16
+	n int
+	// rows and order are the indexed dataset's records and the σ order the
+	// index sorts them by; range narrowing reads column values through them.
+	rows  []dataset.Record
+	order []int
+	// perm lists the records in σ-lexicographic order (sorted position →
+	// record) and inv is its inverse (record → sorted position). Both are
+	// nil when the dataset cannot be indexed (more than 2³²−1 records, or
+	// values outside their attribute's domain); the scan then falls back to
+	// the per-record evaluator.
+	perm, inv []uint32
+	// dims are the domain sizes of the first len(dims) σ columns, and
+	// prefix[K] the first sorted position whose mixed-radix key over those
+	// columns is ≥ K (prefix[Πdims] = n).
+	dims   []int
+	prefix []uint32
 	// mask is a bitset over [0, n): bit s is set iff gcd(s, n) == 1, so the
-	// cyclic scan's stride walk needs one bit test per step instead of a
-	// gcd loop.
+	// cyclic scan's stride resolution needs one bit test per step instead of
+	// a gcd loop.
 	mask []uint64
 }
 
-// NewScanTable builds the scan layout for the dataset under the given
-// attribute order (the synthesizer's σ). The dataset and order are read
-// once and not retained.
+// NewScanTable builds the scan index for the dataset under the given
+// attribute order (the synthesizer's σ). The table keeps the dataset's
+// record slice, which must not change while the table is in use.
 func NewScanTable(data *dataset.Dataset, order []int) *ScanTable {
-	n, m := data.Len(), len(order)
-	t := &ScanTable{n: n, width: m, mask: coprimeMask(n)}
-	if int64(n)*int64(m) <= maxScanTableElems {
-		flat := make([]uint16, n*m)
-		for i := 0; i < n; i++ {
-			row := data.Row(i)
-			base := i * m
-			for k, attr := range order {
-				flat[base+k] = row[attr]
-			}
-		}
-		t.flat = flat
+	n := data.Len()
+	t := &ScanTable{n: n, rows: data.Rows(), order: slices.Clone(order), mask: coprimeMask(n)}
+	if n > 0 && uint64(n) <= math.MaxUint32 {
+		t.buildIndex(data.Meta)
 	}
 	return t
 }
 
+// maxChunkCells bounds one sorting pass's key space: each pass of the LSD
+// counting sort keys on a run of σ columns whose domain product fits it.
+const maxChunkCells = 1 << 16
+
+// buildIndex sorts the records σ-lexicographically with an LSD counting
+// sort over runs of σ columns ("chunks") keyed mixed-radix, one pass per
+// chunk from the least significant. The most significant chunk is the
+// prefix-offset table's column run; its pass's bucket starts are the table.
+// Ties keep record order (every pass is stable).
+func (t *ScanTable) buildIndex(meta *dataset.Metadata) {
+	n, m := t.n, len(t.order)
+	dims := make([]int, m)
+	for k, a := range t.order {
+		dims[k] = max(meta.Attrs[a].Card(), 1)
+	}
+	// The prefix-offset table covers the longest σ-prefix whose key space
+	// fits n cells, so it never costs more than perm.
+	c, cells := 0, 1
+	for c < m && cells*dims[c] <= n {
+		cells *= dims[c]
+		c++
+	}
+	type chunk struct{ from, to, cells int }
+	chunks := make([]chunk, 0, 16) // least significant first
+	maxCells := 0
+	for to := m; to > c; {
+		from, cells := to-1, dims[to-1]
+		for from > c && cells*dims[from-1] <= maxChunkCells {
+			from--
+			cells *= dims[from]
+		}
+		chunks = append(chunks, chunk{from, to, cells})
+		maxCells = max(maxCells, cells)
+		to = from
+	}
+	chunks = append(chunks, chunk{0, c, cells})
+
+	// One tight pass copies the σ columns out of the records: rows may be
+	// scattered through the heap, and a short loop body keeps more of those
+	// loads in flight. The chunk keys are then computed column by column.
+	cols := make([]uint16, m*n)
+	for i, row := range t.rows {
+		for k, a := range t.order {
+			cols[k*n+i] = row[a]
+		}
+	}
+	keys := make([]uint32, len(chunks)*n)
+	for ci, ch := range chunks {
+		chunkKeys := keys[ci*n : (ci+1)*n]
+		for k := ch.from; k < ch.to; k++ {
+			d := uint32(dims[k])
+			for i, v := range cols[k*n : (k+1)*n] {
+				if uint32(v) >= d {
+					return // out-of-domain value: leave the table unindexed
+				}
+				chunkKeys[i] = chunkKeys[i]*d + uint32(v)
+			}
+		}
+	}
+	buf := make([]uint32, 2*n)
+	src, dst := buf[:n:n], buf[n:]
+	for i := range src {
+		src[i] = uint32(i)
+	}
+	var counts, starts []uint32
+	if len(chunks) > 1 {
+		counts = make([]uint32, maxCells+1)
+	}
+	for ci, ch := range chunks {
+		keys := keys[ci*n : (ci+1)*n]
+		if ci < len(chunks)-1 {
+			starts = counts[:ch.cells+1]
+			clear(starts)
+		} else {
+			starts = make([]uint32, ch.cells+1) // kept as the prefix table
+		}
+		// starts[key+1] = the first position of key; the scatter advances
+		// it to the key's end, which is the first position of key+1.
+		for _, key := range keys {
+			starts[key+1]++
+		}
+		total := uint32(0)
+		for k := 1; k <= ch.cells; k++ {
+			starts[k], total = total, total+starts[k]
+		}
+		next := starts[1:]
+		for _, r := range src {
+			key := keys[r]
+			dst[next[key]] = r
+			next[key]++
+		}
+		src, dst = dst, src
+	}
+	for p, r := range src {
+		dst[r] = uint32(p)
+	}
+	t.perm, t.inv, t.dims, t.prefix = src, dst, dims[:c], starts
+}
+
 // scanOrdered is implemented by synthesizers whose probers compare seeds
 // against a candidate along a fixed attribute order — the precondition for
-// the struct-of-arrays scan.
+// the indexed scan.
 type scanOrdered interface {
 	scanOrder() []int
 }
 
-// ScanTableFor builds the scan layout for a synthesizer over its seed
+// ScanTableFor builds the scan index for a synthesizer over its seed
 // dataset, or returns nil when the synthesizer has no fixed scan order
 // (e.g. the constant-prober marginal baseline, which needs none: its scan
 // is computed analytically).
@@ -86,6 +200,18 @@ func ScanTableFor(syn Synthesizer, seeds *dataset.Dataset) *ScanTable {
 		return nil
 	}
 	return NewScanTable(seeds, order)
+}
+
+// serves reports whether the table indexes exactly this seed dataset under
+// the synthesizer's σ, so a shared table is never applied to a mechanism
+// it was not built for.
+func (t *ScanTable) serves(syn Synthesizer, seeds *dataset.Dataset) bool {
+	so, ok := syn.(scanOrdered)
+	if !ok || t.n != seeds.Len() || !slices.Equal(t.order, so.scanOrder()) {
+		return false
+	}
+	rows := seeds.Rows()
+	return t.n == 0 || &rows[0] == &t.rows[0]
 }
 
 // coprimeMask returns the bitset of s in [0, n) with gcd(s, n) == 1,
@@ -135,6 +261,244 @@ func (t *ScanTable) strideFrom(s, n int) int {
 	return s
 }
 
+// sortedSet is a plausible set in sorted positions: [lo, hi) minus the
+// nested [cutLo, cutHi), which may be empty.
+type sortedSet struct{ lo, hi, cutLo, cutHi uint32 }
+
+func (s sortedSet) size() int { return int(s.hi-s.lo) - int(s.cutHi-s.cutLo) }
+
+// prefixRange returns R(L) for L ≤ len(dims): the records whose key over
+// the prefix columns starts with y's first L σ values occupy one run of
+// keys, [B·S, (B+1)·S) with B the mixed-radix value of those L values and
+// S the product of the remaining prefix domains.
+func (t *ScanTable) prefixRange(yv []uint16, L int) (lo, hi uint32) {
+	b := 0
+	for k := 0; k < L; k++ {
+		v := int(yv[k])
+		if v >= t.dims[k] {
+			return 0, 0
+		}
+		b = b*t.dims[k] + v
+	}
+	s := 1
+	for _, d := range t.dims[L:] {
+		s *= d
+	}
+	return t.prefix[b*s], t.prefix[(b+1)*s]
+}
+
+// rangeOf returns R(L), the sorted range of records agreeing with y on
+// σ-positions [0, L). When the caller already knows R(from) for some
+// from ≤ L it passes it in [lo, hi), and narrowing resumes from there.
+func (t *ScanTable) rangeOf(yv []uint16, L, from int, lo, hi uint32) (uint32, uint32) {
+	c := len(t.dims)
+	if L <= c {
+		return t.prefixRange(yv, L)
+	}
+	if from < c {
+		lo, hi = t.prefixRange(yv, c)
+		from = c
+	}
+	for k := from; k < L && lo < hi; k++ {
+		lo, hi = t.narrow(t.order[k], yv[k], lo, hi)
+	}
+	return lo, hi
+}
+
+// narrow shrinks a sorted range whose records agree on every σ column
+// before attr — so attr's values ascend across it — to the records whose
+// attr value is v, by two binary searches.
+func (t *ScanTable) narrow(attr int, v uint16, lo, hi uint32) (uint32, uint32) {
+	rows, perm := t.rows, t.perm
+	l, h := lo, hi
+	for l < h {
+		mid := l + (h-l)/2
+		if rows[perm[mid]][attr] < v {
+			l = mid + 1
+		} else {
+			h = mid
+		}
+	}
+	lo, h = l, hi
+	for l < h {
+		mid := l + (h-l)/2
+		if rows[perm[mid]][attr] <= v {
+			l = mid + 1
+		} else {
+			h = mid
+		}
+	}
+	return lo, l
+}
+
+// scanShape names the way a privacy test's scan was decided; GenStats
+// counts candidates per shape.
+type scanShape uint8
+
+const (
+	// shapeNone: no scan ran (the seed itself could not have generated the
+	// candidate).
+	shapeNone scanShape = iota
+	// shapeConstant: every record is plausible or none is, so the walk's
+	// outcome follows in O(1).
+	shapeConstant
+	// shapeEnumerate: the plausible set's members were mapped to their walk
+	// positions.
+	shapeEnumerate
+	// shapeWalk: the cyclic walk ran with one index lookup per record.
+	shapeWalk
+	// shapeFallback: the per-record evaluator ran.
+	shapeFallback
+	numScanShapes
+)
+
+// enumerateRatio weighs one enumerated member of P against one walk step:
+// enumeration reads P sequentially and does a multiply and a modulo per
+// member, a walk step does one random read into inv.
+const enumerateRatio = 1
+
+// maxEnumerate caps the plausible sets the enumerate shape takes, and with
+// it the walk-step scratch each generation worker carries (genScratch), so
+// the shape never allocates.
+const maxEnumerate = 4096
+
+// chooseShape picks the cheaper exact shape for a plausible set of the
+// given size: enumerate when |P| is within enumerateRatio of the expected
+// walk length min(maxCheck, breakAt·n/|P|) and fits maxEnumerate. Both
+// shapes give identical results, so the choice moves only the cost.
+func chooseShape(size, n, maxCheck, breakAt int) scanShape {
+	if size > maxEnumerate {
+		return shapeWalk
+	}
+	walk := float64(maxCheck)
+	if size > 0 {
+		walk = min(walk, float64(breakAt)*float64(n)/float64(size))
+	}
+	if float64(size) <= enumerateRatio*walk {
+		return shapeEnumerate
+	}
+	return shapeWalk
+}
+
+// scanEnumerate replays the cyclic walk (start, stride over n records, at
+// most maxCheck visits, stopping at the breakAt-th plausible record) from
+// the plausible set alone. Record i is visited at step
+// t = (i − start)·stride⁻¹ mod n, so the walk counts the members with
+// t < maxCheck, and when there are at least breakAt of them it stops right
+// after the breakAt-th smallest such t. buf is scratch space for |P| steps.
+func scanEnumerate(perm []uint32, set sortedSet, maxCheck, breakAt, start, stride int, buf []uint32) (checked, count int) {
+	n := len(perm)
+	inv := uint64(modInverse(stride, n))
+	buf = walkSteps(buf[:0], perm[set.lo:set.cutLo], uint64(start), inv, uint64(n), uint64(maxCheck))
+	buf = walkSteps(buf, perm[set.cutHi:set.hi], uint64(start), inv, uint64(n), uint64(maxCheck))
+	if len(buf) < breakAt {
+		return maxCheck, len(buf)
+	}
+	return int(kthSmallest(buf, breakAt-1)) + 1, breakAt
+}
+
+// walkSteps appends the walk step of each record in recs that falls
+// before maxCheck.
+func walkSteps(dst, recs []uint32, start, strideInv, n, maxCheck uint64) []uint32 {
+	for _, r := range recs {
+		d := uint64(r) + n - start
+		if d >= n {
+			d -= n
+		}
+		if t := d * strideInv % n; t < maxCheck {
+			dst = append(dst, uint32(t))
+		}
+	}
+	return dst
+}
+
+// modInverse returns s⁻¹ mod n for s coprime with n (0 when n == 1).
+func modInverse(s, n int) int {
+	// Extended Euclid on (n, s), tracking only s's coefficient.
+	a, b := n, s
+	x0, x1 := 0, 1
+	for b != 0 {
+		q := a / b
+		a, b = b, a-q*b
+		x0, x1 = x1, x0-q*x1
+	}
+	x0 %= n
+	if x0 < 0 {
+		x0 += n
+	}
+	return x0
+}
+
+// kthSmallest returns the k-th smallest (0-based) of a, reordering a. It is
+// a quickselect that sorts the remaining span when partitioning stops
+// making progress, so adversarial inputs cost O(m log m), not O(m²).
+func kthSmallest(a []uint32, k int) uint32 {
+	lo, hi := 0, len(a)-1
+	for rounds := 2 * bits.Len(uint(len(a))); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(a[lo : hi+1])
+			break
+		}
+		pivot := a[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
+}
+
+// scanWalk takes the cyclic walk itself, testing each visited record's
+// membership in the plausible set through its sorted position.
+func scanWalk(inv []uint32, set sortedSet, maxCheck, breakAt, start, stride int) (checked, count int) {
+	n := len(inv)
+	width, cutWidth := set.hi-set.lo, set.cutHi-set.cutLo
+	idx := start
+	for checked < maxCheck {
+		checked++
+		if p := inv[idx]; p-set.lo < width && p-set.cutLo >= cutWidth {
+			count++
+			if count >= breakAt {
+				break
+			}
+		}
+		idx += stride
+		if idx >= n {
+			idx -= n
+		}
+	}
+	return checked, count
+}
+
+// constantWalk is the walk's outcome when every record matches or none
+// does: each visit checks one record, a match increments the count, and the
+// loop stops at breakAt matches or maxCheck visits.
+func constantWalk(match bool, maxCheck, breakAt int) (checked, count int) {
+	if !match {
+		return maxCheck, 0
+	}
+	c := min(breakAt, maxCheck)
+	return c, c
+}
+
 // testPre is the per-run precomputation of the privacy test: parameters
 // validated once and limits resolved once, instead of per candidate.
 type testPre struct {
@@ -173,24 +537,26 @@ func newTestPre(m *Mechanism) (testPre, error) {
 
 // runTestFast is the batched kernel's privacy test: identical RNG
 // consumption, decisions and counters as RunTest over the same prober
-// state, with the per-record work reduced to integer compares. The seed's
-// partition and threshold are computed as before; the per-bucket partition
-// memo is folded into a σ-agreement interval (see initPartitions), so the
-// scan needs no floats at all. Three scan shapes:
+// state, with the per-record work replaced by range arithmetic over the
+// scan index. The seed's partition and threshold are computed as before;
+// the per-bucket partition memo is folded into a σ-agreement interval (see
+// initPartitions), so the scan needs no floats at all. It also reports the
+// scan shape that decided the test:
 //
-//   - constant prober: every record matches or none does — the walk is
-//     computed analytically in O(1) (it consumes no RNG).
-//   - interval + flat table: records are tested with contiguous uint16
-//     compares against the candidate's σ-prefix.
-//   - fallback: the per-record evaluator, for oversized tables or a
+//   - constant: a constant prober, or an interval every record satisfies —
+//     the walk is computed in O(1);
+//   - enumerate or walk: the indexed scan over the plausible set;
+//   - fallback: the per-record evaluator, for a missing index or a
 //     non-contiguous partition memo.
-func runTestFast(ps *proberState, st *ScanTable, pre *testPre, data *dataset.Dataset, seed dataset.Record, r *rng.RNG) TestResult {
+//
+// steps is the enumerate shape's scratch, with room for maxEnumerate steps.
+func runTestFast(ps *proberState, st *ScanTable, pre *testPre, data *dataset.Dataset, seed dataset.Record, r *rng.RNG, steps []uint32) (TestResult, scanShape) {
 	res := TestResult{SeedProb: ps.proberEval(seed)}
 
 	part, ok := partitionIndexLog(res.SeedProb, pre.logGamma)
 	if !ok {
 		res.Threshold = float64(pre.k)
-		return res
+		return res, shapeNone
 	}
 	res.Partition = part
 
@@ -225,27 +591,34 @@ func runTestFast(ps *proberState, st *ScanTable, pre *testPre, data *dataset.Dat
 		s0 = 1 + r.Intn(n-1)
 	}
 
+	shape := shapeFallback
 	switch {
 	case ps.constP >= 0:
-		// Constant prober: the walk visits records whose content never
-		// matters. Replaying it analytically: every visit checks one
-		// record, a match increments the count, and the loop stops at
-		// breakAt matches or maxCheck visits.
-		if ps.constMatch {
-			c := breakAt
-			if c > maxCheck {
-				c = maxCheck
-			}
-			res.Checked, res.PlausibleCount = c, c
-		} else {
-			res.Checked = maxCheck
+		shape = shapeConstant
+		res.Checked, res.PlausibleCount = constantWalk(ps.constMatch, maxCheck, breakAt)
+	case st != nil && st.perm != nil && ps.ivOK && ps.jLo == 0 && ps.jHi == ps.hiIdx:
+		// Every σ-agreement length is plausible: every record matches.
+		shape = shapeConstant
+		res.Checked, res.PlausibleCount = constantWalk(true, maxCheck, breakAt)
+	case st != nil && st.perm != nil && ps.ivOK:
+		// Plausible ⟺ σ-agreement a ≥ jLo and, when the interval stops
+		// short of the top bucket, a ≤ jHi: P = R(jLo) \ R(jHi+1).
+		var set sortedSet
+		set.lo, set.hi = st.rangeOf(ps.yv, ps.jLo, 0, 0, uint32(n))
+		set.cutLo, set.cutHi = set.lo, set.lo
+		if ps.jHi < ps.hiIdx && set.lo < set.hi {
+			set.cutLo, set.cutHi = st.rangeOf(ps.yv, ps.jHi+1, ps.jLo, set.lo, set.hi)
 		}
-	case st != nil && st.flat != nil && ps.ivOK:
 		stride := 1
 		if n > 2 {
 			stride = st.strideFrom(s0, n)
 		}
-		res.Checked, res.PlausibleCount = scanFlat(st, ps, n, maxCheck, breakAt, start, stride)
+		shape = chooseShape(set.size(), n, maxCheck, breakAt)
+		if shape == shapeEnumerate {
+			res.Checked, res.PlausibleCount = scanEnumerate(st.perm, set, maxCheck, breakAt, start, stride, steps)
+		} else {
+			res.Checked, res.PlausibleCount = scanWalk(st.inv, set, maxCheck, breakAt, start, stride)
+		}
 	default:
 		stride := 1
 		if n > 2 {
@@ -279,81 +652,5 @@ func runTestFast(ps *proberState, st *ScanTable, pre *testPre, data *dataset.Dat
 	}
 
 	res.Pass = float64(res.PlausibleCount) >= res.Threshold
-	return res
-}
-
-// scanFlat walks the flat σ-ordered mirror in cyclic order. A record is a
-// plausible seed iff its σ-agreement length with the candidate falls in
-// [jLo, jHi] (see initPartitions), which over the flat rows is: the first
-// jLo positions agree, and — when the interval stops short of the top
-// bucket — some position in [jLo, jHi] disagrees.
-func scanFlat(st *ScanTable, ps *proberState, n, maxCheck, breakAt, start, stride int) (checked, count int) {
-	flat, width := st.flat, st.width
-	jLo, jHi := ps.jLo, ps.jHi
-	needUpper := jHi < ps.hiIdx
-	// A record's plausibility is a pure function of its first σ-disagreement
-	// position a with the candidate, capped at stop: plausible ⟺ a ≥ jLo
-	// and — when the interval stops short of the top bucket — a < stop.
-	stop := jHi + 1
-	if !needUpper {
-		stop = jLo
-	}
-	if stop == 0 {
-		// jLo == 0 with the interval reaching the top bucket: every record
-		// matches, and the walk degenerates to the constant-match shape.
-		if breakAt > maxCheck {
-			breakAt = maxCheck
-		}
-		return breakAt, breakAt
-	}
-	yv := ps.yv[:stop]
-	y0 := yv[0]
-	// Walk row offsets directly: one add + wrap per record, no multiply.
-	base := start * width
-	step := stride * width
-	limit := n * width
-	if jLo > 0 {
-		// Records disagreeing at position 0 are implausible, so the common
-		// case is one load-compare-add per record.
-		for checked < maxCheck {
-			checked++
-			if flat[base] == y0 {
-				k := 1
-				for k < stop && flat[base+k] == yv[k] {
-					k++
-				}
-				if k >= jLo && (k < stop || !needUpper) {
-					count++
-					if count >= breakAt {
-						break
-					}
-				}
-			}
-			base += step
-			if base >= limit {
-				base -= limit
-			}
-		}
-		return checked, count
-	}
-	// jLo == 0: stop > 0 forces needUpper, so every record is plausible
-	// unless it agrees with the whole σ-prefix [0, stop).
-	for checked < maxCheck {
-		checked++
-		k := 0
-		for k < stop && flat[base+k] == yv[k] {
-			k++
-		}
-		if k < stop {
-			count++
-			if count >= breakAt {
-				break
-			}
-		}
-		base += step
-		if base >= limit {
-			base -= limit
-		}
-	}
-	return checked, count
+	return res, shape
 }

@@ -85,7 +85,7 @@ func (s *SeedSynthesizer) generateInto(dst, seed dataset.Record, r *rng.RNG) {
 }
 
 // scanOrder exposes the attribute order the prober compares seeds along,
-// enabling the struct-of-arrays privacy-test scan (see ScanTableFor).
+// enabling the indexed privacy-test scan (see ScanTableFor).
 func (s *SeedSynthesizer) scanOrder() []int { return s.Model.Struct.Order }
 
 // GenProb returns Pr{y = M(d)} exactly.
@@ -129,10 +129,10 @@ type proberState struct {
 	constMatch bool
 	// ivOK reports that the matching buckets form one contiguous interval
 	// [jLo, jHi] (bucket indices, not offsets), which lets the privacy-test
-	// scan replace per-record partition checks with σ-prefix compares over
-	// the flat scan table: a record is plausible iff its agreement bucket
-	// lies in the interval (see scanFlat). yv caches y's values in σ order
-	// up to jHi for those compares.
+	// scan replace per-record partition checks with range lookups in the
+	// scan index: a record is plausible iff its agreement bucket lies in the
+	// interval (see scan.go). yv caches y's values in σ order up to jHi for
+	// those lookups.
 	ivOK     bool
 	jLo, jHi int
 	yv       []uint16
@@ -236,7 +236,7 @@ func (ps *proberState) initPartitions(part int, logGamma float64) {
 		i, ok := partitionIndexLog(p, logGamma)
 		ps.match[j] = p > 0 && ok && i == part
 	}
-	// Fold the memo into a bucket interval for the flat scan. The bucket
+	// Fold the memo into a bucket interval for the indexed scan. The bucket
 	// probabilities weight·cum[j] are nondecreasing in j, so the buckets
 	// falling into one γ-partition are expected to be contiguous — but
 	// contiguity is verified rather than assumed (the scan falls back to the

@@ -58,7 +58,7 @@ func RunSigmaOrderAblation(ctx context.Context, p *Pipeline, om OmegaSpec, k, ca
 		if err != nil {
 			return 0, err
 		}
-		_, stats, err := core.GenerateCtx(ctx, mech, core.GenConfig{
+		_, stats, err := core.GenerateCtx(ctx, p.withScan(mech), core.GenConfig{
 			Candidates: candidates, Workers: p.Cfg.Workers, Seed: p.Cfg.Seed + 0xab1,
 		})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -278,6 +279,32 @@ func TestRunFig6Shapes(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Figure 6") {
 		t.Fatal("render output malformed")
+	}
+}
+
+// TestPipelineSharesScanIndex pins the one-build-per-pipeline contract:
+// every ω variant's mechanism carries the same scan index, built for the
+// pipeline's seeds under the model's σ, and generation keeps using it
+// rather than building its own.
+func TestPipelineSharesScanIndex(t *testing.T) {
+	p := testPipeline(t)
+	var first *core.ScanTable
+	for _, om := range []OmegaSpec{{9, 9}, {5, 11}, {7, 7}} {
+		mech, err := p.Mechanism(om)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := core.GenerateCtx(context.Background(), mech, core.GenConfig{Candidates: 20, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if mech.Scan == nil {
+			t.Fatalf("%s: mechanism has no scan index", om.Name())
+		}
+		if first == nil {
+			first = mech.Scan
+		} else if mech.Scan != first {
+			t.Fatalf("%s: mechanism got its own scan index, want the pipeline's", om.Name())
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ func RunFig6(ctx context.Context, p *Pipeline, ks []int, omegas []OmegaSpec, can
 			if err != nil {
 				return nil, err
 			}
-			_, stats, err := core.GenerateCtx(ctx, mech, core.GenConfig{
+			_, stats, err := core.GenerateCtx(ctx, p.withScan(mech), core.GenConfig{
 				Candidates: candidates,
 				Workers:    p.Cfg.Workers,
 				Seed:       p.Cfg.Seed ^ uint64(k)<<16 ^ uint64(om.Lo)<<8 ^ uint64(om.Hi),

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/acs"
@@ -155,6 +156,23 @@ type Pipeline struct {
 	// ModelLearnTime and SynthTime record the Fig. 5 timings.
 	ModelLearnTime time.Duration
 	SynthTime      time.Duration
+
+	// scanOnce/scan hold the privacy test's scan index over DS under
+	// Model's σ, built on first use and shared by every mechanism the
+	// drivers run (see withScan).
+	scanOnce sync.Once
+	scan     *core.ScanTable
+}
+
+// withScan attaches the pipeline's shared scan index to a mechanism over
+// DS. The index depends only on DS and σ, and σ is fixed per model, so one
+// build serves every (ω, k) combination of a sweep. A mechanism over a
+// model with another σ (the σ-order ablation) gets its own index instead:
+// core.Mechanism never applies an index built for a different order.
+func (p *Pipeline) withScan(mech *core.Mechanism) *core.Mechanism {
+	p.scanOnce.Do(func() { p.scan = core.NewScanTable(p.DS, p.Model.Struct.Order) })
+	mech.Scan = p.scan
+	return mech
 }
 
 // BuildPipeline simulates the data, learns the DP model and generates the
@@ -291,7 +309,7 @@ func (p *Pipeline) Mechanism(om OmegaSpec) (*core.Mechanism, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewMechanism(syn, p.DS, core.TestConfig{
+	mech, err := core.NewMechanism(syn, p.DS, core.TestConfig{
 		K:                 p.Cfg.K,
 		Gamma:             p.Cfg.Gamma,
 		Randomized:        true,
@@ -299,6 +317,10 @@ func (p *Pipeline) Mechanism(om OmegaSpec) (*core.Mechanism, error) {
 		MaxPlausible:      p.Cfg.MaxPlausible,
 		MaxCheckPlausible: p.Cfg.MaxCheckPlausible,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return p.withScan(mech), nil
 }
 
 // GenerateVariant produces `count` released records for one ω variant.

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/eval"
 	"repro/internal/jobs"
@@ -405,19 +406,24 @@ func TestAuthJobScoping(t *testing.T) {
 	}
 }
 
-// pollJobAs polls GET /v1/jobs/{id} with a key until the job finishes.
+// pollJobAs polls GET /v1/jobs/{id} with a key until the job finishes. It
+// waits against a wall-clock deadline, not a request count, so a slow
+// machine (or -race) stretches the wait instead of failing the test.
 func pollJobAs(t *testing.T, ts *httptest.Server, id, key string) jobs.Info {
 	t.Helper()
-	for i := 0; i < 6000; i++ {
+	const timeout = 2 * time.Minute
+	for deadline := time.Now().Add(timeout); ; time.Sleep(5 * time.Millisecond) {
 		resp := do(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, key, nil)
 		var info jobs.Info
 		decodeJSON(t, resp, &info)
 		if info.State.Finished() {
 			return info
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s did not finish within %v (state %s)", id, timeout, info.State)
+			return info
+		}
 	}
-	t.Fatalf("job %s did not finish", id)
-	return jobs.Info{}
 }
 
 // TestAuthJobQuota pins the per-tenant concurrent-job bound: max_jobs=1

@@ -564,6 +564,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 		stats.Released += rs.Released
 		stats.SeedRejected += rs.SeedRejected
 		stats.CheckedTotal += rs.CheckedTotal
+		stats.Scans.Add(rs.Scans)
 		stats.Elapsed += rs.Elapsed
 		stats.SinkElapsed += rs.SinkElapsed
 		if err != nil {
@@ -586,7 +587,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request, id str
 	if ro != nil {
 		ro.records = released
 	}
-	s.metrics.Generated(stats.Released, stats.Candidates, stats.CheckedTotal)
+	s.metrics.Generated(stats)
 	s.metrics.ObserveStream(stats.Released, streamBytes)
 	if err != nil && ctx.Err() == nil {
 		// The status line is gone; surface the failure as a final NDJSON

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	sgf "repro"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/tenant"
@@ -31,6 +32,7 @@ type Metrics struct {
 	recordsReleased    int64
 	candidatesDrawn    int64
 	seedsChecked       int64
+	scanShapes         [4]int64 // indexed like scanShapeNames
 	modelsFitted       int64
 	modelsFailed       int64
 	modelsEvicted      int64
@@ -79,11 +81,19 @@ func (m *Metrics) Request(handler string, status int) {
 func (m *Metrics) SynthesizeStart() { atomic.AddInt64(&m.synthesizeInFlight, 1) }
 func (m *Metrics) SynthesizeDone()  { atomic.AddInt64(&m.synthesizeInFlight, -1) }
 
-// Generated records the outcome of one generation run.
-func (m *Metrics) Generated(released, candidates int, checked int64) {
-	atomic.AddInt64(&m.recordsReleased, int64(released))
-	atomic.AddInt64(&m.candidatesDrawn, int64(candidates))
-	atomic.AddInt64(&m.seedsChecked, checked)
+// scanShapeNames label sgfd_privacy_scan_shapes_total, in the order of
+// Metrics.scanShapes.
+var scanShapeNames = [4]string{"constant", "enumerate", "walk", "fallback"}
+
+// Generated records the outcome of one synthesize request's generation.
+func (m *Metrics) Generated(stats sgf.GenStats) {
+	atomic.AddInt64(&m.recordsReleased, int64(stats.Released))
+	atomic.AddInt64(&m.candidatesDrawn, int64(stats.Candidates))
+	atomic.AddInt64(&m.seedsChecked, stats.CheckedTotal)
+	sc := stats.Scans
+	for i, v := range [4]int64{sc.Constant, sc.Enumerate, sc.Walk, sc.Fallback} {
+		atomic.AddInt64(&m.scanShapes[i], v)
+	}
 }
 
 // ModelFitted/ModelFailed/ModelEvicted/CacheHit record registry events.
@@ -145,6 +155,10 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		atomic.LoadInt64(&m.candidatesDrawn))
 	add("# TYPE sgfd_seeds_checked_total counter\nsgfd_seeds_checked_total %d\n",
 		atomic.LoadInt64(&m.seedsChecked))
+	add("# TYPE sgfd_privacy_scan_shapes_total counter\n")
+	for i, name := range scanShapeNames {
+		add("sgfd_privacy_scan_shapes_total{shape=%q} %d\n", name, atomic.LoadInt64(&m.scanShapes[i]))
+	}
 	add("# TYPE sgfd_privacy_test_pass_rate gauge\nsgfd_privacy_test_pass_rate %.6f\n", m.PassRate())
 	add("# TYPE sgfd_records_per_second gauge\nsgfd_records_per_second %.3f\n", perSec)
 	add("# TYPE sgfd_models_fitted_total counter\nsgfd_models_fitted_total %d\n",

@@ -281,6 +281,24 @@ func TestMetricsHistograms(t *testing.T) {
 	if v := samples[`sgfd_synthesize_stream_records_sum`]; v < 64 {
 		t.Fatalf("stream records histogram sum = %v, want >= 64", v)
 	}
+
+	// Every candidate of the seed-based model scans (its own seed always
+	// could have generated it), and each scan is counted under exactly one
+	// shape; the indexed shapes decide them, never the per-record fallback.
+	var scans float64
+	for _, shape := range []string{"constant", "enumerate", "walk", "fallback"} {
+		v, ok := samples[`sgfd_privacy_scan_shapes_total{shape="`+shape+`"}`]
+		if !ok {
+			t.Fatalf("missing sgfd_privacy_scan_shapes_total series for shape %q", shape)
+		}
+		scans += v
+	}
+	if cands := samples[`sgfd_candidates_drawn_total`]; cands < 64 || scans != cands {
+		t.Fatalf("scan shapes sum to %v, want the %v candidates drawn", scans, cands)
+	}
+	if v := samples[`sgfd_privacy_scan_shapes_total{shape="fallback"}`]; v != 0 {
+		t.Fatalf("%v scans fell back to the per-record path on an indexed model", v)
+	}
 }
 
 // readJobEvents consumes a /v1/jobs/{id}/events stream to EOF, asserting
