@@ -88,6 +88,7 @@ func batchMechs(t *testing.T) map[string]*Mechanism {
 func TestBatchedGenerateByteIdentical(t *testing.T) {
 	const candidates = 800
 	const seed = 99
+	var all ScanShapes
 	for name, mech := range batchMechs(t) {
 		t.Run(name, func(t *testing.T) {
 			wantRows, wantStats := referenceGenerate(t, mech, candidates, seed)
@@ -131,7 +132,13 @@ func TestBatchedGenerateByteIdentical(t *testing.T) {
 					}
 				}
 			}
+			all.Add(wantScans)
 		})
+	}
+	// The counters must show every indexed shape at work somewhere in the
+	// matrix, or the identity above covered fewer shapes than it claims.
+	if all.Constant == 0 || all.Enumerate == 0 || all.Walk == 0 {
+		t.Errorf("scan shapes over all mechanisms %+v: some indexed shape never ran", all)
 	}
 }
 
