@@ -95,8 +95,6 @@ type (
 	Mechanism = core.Mechanism
 	// GenStats aggregates a generation run.
 	GenStats = core.GenStats
-	// ScanShapes counts privacy tests by the shape of their seed scan.
-	ScanShapes = core.ScanShapes
 	// Budget is an (ε, δ) differential privacy guarantee.
 	Budget = privacy.Budget
 )
